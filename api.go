@@ -230,6 +230,11 @@ type Config struct {
 	// agreed value are identical to a full-trace run. Leave false when the
 	// execution itself will be inspected or validated.
 	TraceDecisionsOnly bool
+
+	// buildProc overrides automaton construction in every trial (see
+	// sim.Scenario.BuildProc). It is unexported: in-package tests use it
+	// to hold trials open at a gate.
+	buildProc func(i int, s *sim.Scenario) model.Automaton
 }
 
 // Report is the outcome of a consensus run.
@@ -357,6 +362,7 @@ func (c Config) toScenario() (sim.Scenario, error) {
 		UseGoroutines:     c.UseGoroutines,
 		Seed:              c.Seed,
 		SeedSchedule:      c.SeedSchedule,
+		BuildProc:         c.buildProc,
 	}, nil
 }
 

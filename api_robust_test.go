@@ -6,6 +6,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adhocconsensus/internal/core"
+	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/sim"
+	"adhocconsensus/internal/valueset"
 )
 
 // TestRunTrialsContextCancellation: a canceled context stops the run with a
@@ -66,14 +71,34 @@ func TestTrialTimeoutQuarantine(t *testing.T) {
 func TestStreamTrialsContextPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	const trials, k = 200, 5
 	cfg := Config{Algorithm: AlgorithmBitByBit, Values: []Value{1, 2, 3}, Domain: 8, Seed: 7}
+	// Trials from k on hold in their automaton factory until the sink has
+	// cancelled, so cancellation lands mid-stream however fast trials run.
+	// Held trials are known by their derived seeds; the base seed's
+	// up-front validation build passes straight through.
+	gate := make(chan struct{})
+	held := make(map[int64]bool, trials-k)
+	for i := k; i < trials; i++ {
+		held[sim.TrialSeed(cfg.Seed, 0, i)] = true
+	}
+	domain, err := valueset.NewDomain(cfg.Domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.buildProc = func(i int, s *sim.Scenario) model.Automaton {
+		if held[s.Seed] {
+			<-gate
+		}
+		return core.NewAlg2(domain, s.Values[i])
+	}
 	var got []TrialResult
-	err := cfg.StreamTrialsContext(ctx, 200, 2, 0, 1, cancelAfter{&got, 5, cancel})
+	err = cfg.StreamTrialsContext(ctx, trials, 2, 0, 1, cancelAfter{&got, k, func() { cancel(); close(gate) }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
 	}
-	if len(got) < 5 || len(got) >= 200 {
-		t.Fatalf("%d results delivered after cancel at 5", len(got))
+	if len(got) < k || len(got) >= trials {
+		t.Fatalf("%d results delivered after cancel at %d", len(got), k)
 	}
 	for i, r := range got {
 		if r.Trial != i {

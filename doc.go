@@ -58,8 +58,8 @@
 //     one flat slice per view field plus a shared receive arena of
 //     (message, count) segments — instead of per-round map[ProcessID]View,
 //     so recording a full execution is also allocation-free in steady
-//     state (n=8: 60 allocs per 256-round run vs 49 decisions-only, down
-//     from 4065). Views materialize lazily through the model accessors;
+//     state (n=8: 66 allocs per 256-round run vs 55 decisions-only, down
+//     from 4065; all of them per-run setup). Views materialize lazily through the model accessors;
 //     Execution.MaterializeRounds is the escape hatch back to the legacy
 //     []Round shape;
 //   - parallel round core: Config.DeliveryWorkers (engine.Config
@@ -78,13 +78,18 @@
 //     detector with FalsePositiveRate noise keeps sequential delivery).
 //
 // Headline numbers from BenchmarkEngineRoundThroughput (Algorithm 2, 8
-// processes, 30% probabilistic loss, 256 rounds/run, one 2.7GHz core),
-// against the pre-refactor engine:
+// processes, 30% probabilistic loss, 256 rounds/run) against the
+// pre-refactor engine. The first two rows were measured on one 2.7GHz
+// core, the last two on a 2-vCPU Xeon VM (range of three runs):
 //
-//	                      ns/round   allocs/run
-//	seed (full trace)         5749         9589
-//	full trace (PR 4)         1402           60   (4.1× / 160×)
-//	decisions only            1185           49   (4.9× / 196×)
+//	                         ns/round   allocs/run
+//	seed (full trace)            5749         9589
+//	full trace (trace arena)     1402           60
+//	full trace              2134–2254           66
+//	decisions only          1619–1699           55
+//
+// End to end, a sweep-small trial of the perfbench harness (bitbybit, n=4,
+// v1 loss) allocates 59 times and 3.9 KB.
 //
 // BENCH_baseline.json records the full benchmark suite; regenerate it with
 // go test -run '^$' -bench . -benchmem. BENCH_pr2.json snapshots the suite
@@ -125,7 +130,16 @@
 //     sequential schedule: one generator per adversary, advanced draw by
 //     draw in receiver-major order. Order-dependent by construction, so
 //     the plan must be drawn single-threaded — but byte-identical to
-//     every recording made before schedules were versioned.
+//     every recording made before schedules were versioned. Every v1
+//     stream (loss, detector noise, backoff, random IDs and pre-advice)
+//     comes from seedstream.NewRandV1, a jump-ahead source whose draws
+//     are byte-identical to math/rand's (equivalence tests over
+//     thousands of seeds, plus a fuzz target) but which seeds lazily:
+//     draws 1–273 are computed straight from the seed, and the 607-word
+//     register math/rand builds up front is built only at draw 274. A
+//     48-draw stream costs 0.9–1.1 µs and 96 bytes instead of 13–15 µs
+//     and 5.4 KB; a 1000-draw stream 15–18 µs instead of 18–21 µs
+//     (BenchmarkRandV1, 2-vCPU Xeon VM).
 //   - SeedScheduleV2 is the counter-based schedule (internal/seedstream):
 //     splitmix64's finalizer keys an independent stream per (trial seed,
 //     round, receiver), and the i-th draw of a stream is a pure function

@@ -273,8 +273,10 @@ func TestTraceErrorMessage(t *testing.T) {
 }
 
 // TestDenseAdviceMatchesMapAdvice drives every DenseAdviser through both
-// entry points across rounds, alive sets, and pre-stabilization behaviors:
-// AdviseInto must write exactly what Advise returns.
+// entry points across rounds on both sides of Stable, alive sets, and
+// pre-stabilization behaviors (default, none, random): AdviseInto must
+// write exactly what Advise returns. Each entry point gets its own
+// instance, so stateful pre-advice (PreRandom's draws) stays in step.
 func TestDenseAdviceMatchesMapAdvice(t *testing.T) {
 	procs := []model.ProcessID{1, 3, 4, 7}
 	alives := map[string]func(model.ProcessID) bool{
@@ -282,18 +284,20 @@ func TestDenseAdviceMatchesMapAdvice(t *testing.T) {
 		"1 crashed": func(id model.ProcessID) bool { return id != 1 },
 		"only 7":    func(id model.ProcessID) bool { return id == 7 },
 	}
-	services := map[string]Service{
-		"NoCM":            NoCM{},
-		"WakeUp":          WakeUp{Stable: 3},
-		"WakeUp rotate":   WakeUp{Stable: 3, Rotate: true},
-		"WakeUp pre-none": WakeUp{Stable: 5, Pre: PreNoneActive},
+	services := map[string]func() Service{
+		"NoCM":              func() Service { return NoCM{} },
+		"WakeUp":            func() Service { return WakeUp{Stable: 3} },
+		"WakeUp rotate":     func() Service { return WakeUp{Stable: 3, Rotate: true} },
+		"WakeUp pre-none":   func() Service { return WakeUp{Stable: 5, Pre: PreNoneActive} },
+		"WakeUp pre-random": func() Service { return WakeUp{Stable: 5, Pre: PreRandom(9, 0.5)} },
 	}
-	for sname, svc := range services {
-		dense, ok := svc.(DenseAdviser)
-		if !ok {
-			t.Fatalf("%s does not implement DenseAdviser", sname)
-		}
+	for sname, build := range services {
 		for aname, alive := range alives {
+			svc := build()
+			dense, ok := build().(DenseAdviser)
+			if !ok {
+				t.Fatalf("%s does not implement DenseAdviser", sname)
+			}
 			out := make([]model.CMAdvice, len(procs))
 			for r := 1; r <= 8; r++ {
 				want := svc.Advise(r, procs, alive)
@@ -305,6 +309,20 @@ func TestDenseAdviceMatchesMapAdvice(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestWakeUpDefaultAdviceAllocationFree: the default wake-up service
+// (PreAllActive before Stable, minimum alive after) writes its dense
+// advice without allocating, on both sides of Stable.
+func TestWakeUpDefaultAdviceAllocationFree(t *testing.T) {
+	w := WakeUp{Stable: 3}
+	alive := aliveExcept(1)
+	out := make([]model.CMAdvice, len(procs))
+	for _, r := range []int{1, 2, 3, 9} {
+		if a := testing.AllocsPerRun(100, func() { w.AdviseInto(r, procs, alive, out) }); a != 0 {
+			t.Errorf("round %d: %.1f allocs per AdviseInto, want 0", r, a)
 		}
 	}
 }

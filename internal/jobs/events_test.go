@@ -3,6 +3,7 @@ package jobs_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	stdruntime "runtime"
@@ -129,6 +130,46 @@ func TestSupervisedJobJournalReconcilesWithReport(t *testing.T) {
 	if int(salvaged2) != final2.Report.Trials.Salvaged || salvaged2 != int64(final.Report.Trials.Executed) {
 		t.Errorf("resume salvage events sum to %d, report says %d of %d durable",
 			salvaged2, final2.Report.Trials.Salvaged, final.Report.Trials.Executed)
+	}
+}
+
+// TestDoneImpliesJournalPersisted: a job's terminal state is published
+// only after its journal export is closed, so a status poller that reads
+// Done finds job.end already on disk — sweepd replays exactly that file
+// for terminal jobs. The poll is a tight loop with no sleep, over several
+// jobs, so a publication that ran ahead of the export would be seen.
+func TestDoneImpliesJournalPersisted(t *testing.T) {
+	withJournal(t)
+	dir := t.TempDir()
+	s, err := jobs.New(jobs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	for i := 0; i < 20; i++ {
+		spec := smallSpec(dir, fmt.Sprintf("done%d.jsonl", i))
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			cur, _ := s.Job(st.ID)
+			if cur.State == jobs.StateDone {
+				break
+			}
+			if cur.State.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("job %d: %s, want done", st.ID, cur.State)
+			}
+		}
+		evs, err := events.ReadEventsFile(spec.Out + ".events.jsonl")
+		if err != nil {
+			t.Fatalf("job %d read Done: %v", st.ID, err)
+		}
+		if c := events.CountTypes(evs); c["job.end"] != 1 {
+			t.Fatalf("job %d read Done with %v on disk, want its job.end", st.ID, c)
+		}
 	}
 }
 

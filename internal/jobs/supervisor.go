@@ -366,68 +366,34 @@ func (s *Supervisor) runJob(j *Job) {
 		rep, err := s.execute(runCtx, j.Spec)
 		cancel()
 		code := cli.ExitCodeOf(err)
+		attempts := j.Attempts + 1
 
+		// Classify the attempt, but publish the outcome only after its job
+		// span has ended and the export is closed: a reader that sees a
+		// terminal state must find <out>.events.jsonl complete.
 		s.mu.Lock()
-		s.running, s.cancelRun = nil, nil
-		j.Attempts++
-		j.ExitCode = code
-		j.Report = rep
-		if err != nil {
-			j.Err = err.Error()
-		} else {
-			j.Err = ""
-		}
+		var state State
+		var tally *telemetry.Counter // nil for a retry: counted below
 		switch {
 		case err == nil, code == cli.ExitTrial:
 			// The run completed — quarantined trials are recorded outcomes,
 			// not job failures; the shard file and report are whole.
-			j.State = StateDone
-			m.Completed.Inc()
+			state, tally = StateDone, m.Completed
+		case code == cli.ExitInterrupt && j.cancelRequested:
+			state, tally = StateCanceled, m.Canceled
 		case code == cli.ExitInterrupt:
-			if j.cancelRequested {
-				j.State = StateCanceled
-				m.Canceled.Inc()
-			} else {
-				// A drain: the sweep flushed a durable prefix; the manifest
-				// re-admits this job on restart and Execute resumes it.
-				j.State = StateCheckpointed
-				m.Checkpointed.Inc()
-			}
-		case code == cli.ExitSink && j.Attempts < s.opts.attempts():
-			// Transient IO: back off and retry. The delay is observable and
-			// abortable — a drain arriving mid-wait checkpoints instead of
-			// holding shutdown hostage.
-			retry := j.Attempts - 1
-			d := w.Delay(retry)
-			j.State = StateQueued
-			s.mu.Unlock()
-			jal.EndJob(jspan, string(StateQueued))
-			_ = exp.Close()
-			s.persist()
-			m.Retries.Inc()
-			m.RetryDelayNs.Observe(uint64(d.Nanoseconds()))
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-				continue
-			case <-s.baseCtx.Done():
-				t.Stop()
-				s.mu.Lock()
-				j.State = StateCheckpointed
-				m.Checkpointed.Inc()
-				s.mu.Unlock()
-				jal.PointJob(events.TypeCheckpoint, j.ID, 0)
-				s.persist()
-				return
-			}
+			// A drain: the sweep flushed a durable prefix; the manifest
+			// re-admits this job on restart and Execute resumes it.
+			state, tally = StateCheckpointed, m.Checkpointed
+		case code == cli.ExitSink && attempts < s.opts.attempts():
+			// Transient IO: back off and retry (below).
+			state = StateQueued
 		default:
 			// Non-transient (reject, usage) or budget exhausted: quarantine.
 			// The job's error and report stay inspectable; its output file
 			// is untouched beyond the durable prefix.
-			j.State = StateQuarantined
-			m.Quarantined.Inc()
+			state, tally = StateQuarantined, m.Quarantined
 		}
-		state := j.State
 		s.mu.Unlock()
 		switch state {
 		case StateCheckpointed:
@@ -437,8 +403,42 @@ func (s *Supervisor) runJob(j *Job) {
 		}
 		jal.EndJob(jspan, string(state))
 		_ = exp.Close()
+
+		s.mu.Lock()
+		s.running, s.cancelRun = nil, nil
+		j.Attempts = attempts
+		j.ExitCode = code
+		j.Report = rep
+		if err != nil {
+			j.Err = err.Error()
+		} else {
+			j.Err = ""
+		}
+		j.State = state
+		tally.Inc()
+		s.mu.Unlock()
 		s.persist()
-		return
+		if state != StateQueued {
+			return
+		}
+		// The retry delay is observable and abortable — a drain arriving
+		// mid-wait checkpoints instead of holding shutdown hostage.
+		d := w.Delay(attempts - 1)
+		m.Retries.Inc()
+		m.RetryDelayNs.Observe(uint64(d.Nanoseconds()))
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-s.baseCtx.Done():
+			t.Stop()
+			s.mu.Lock()
+			j.State = StateCheckpointed
+			m.Checkpointed.Inc()
+			s.mu.Unlock()
+			jal.PointJob(events.TypeCheckpoint, j.ID, 0)
+			s.persist()
+			return
+		}
 	}
 }
 

@@ -260,7 +260,7 @@ type Probabilistic struct {
 // NewProbabilistic returns a probabilistic adversary with its own seeded
 // generator (seed schedule v1).
 func NewProbabilistic(p float64, seed int64) *Probabilistic {
-	return &Probabilistic{P: p, Rng: rand.New(rand.NewSource(seed))}
+	return &Probabilistic{P: p, Rng: seedstream.NewRandV1(seed)}
 }
 
 // NewProbabilisticV2 returns a probabilistic adversary drawing from the
@@ -385,7 +385,7 @@ type Capture struct {
 // NewCapture returns a capture-effect adversary with its own seeded
 // generator (seed schedule v1).
 func NewCapture(pNone, pLoneLoss float64, seed int64) *Capture {
-	return &Capture{PNone: pNone, PLoneLoss: pLoneLoss, Rng: rand.New(rand.NewSource(seed))}
+	return &Capture{PNone: pNone, PLoneLoss: pLoneLoss, Rng: seedstream.NewRandV1(seed)}
 }
 
 // NewCaptureV2 returns a capture-effect adversary drawing from the

@@ -7,7 +7,9 @@
 //
 //   - V1: the historical sequential schedule. Every component owns a
 //     *rand.Rand seeded once; draws are consumed in iteration order, so
-//     the stream is inherently order-dependent and serial.
+//     the stream is inherently order-dependent and serial. NewRandV1
+//     builds those generators: its draws are math/rand's, but it seeds
+//     by jump-ahead, paying per draw instead of for a whole register.
 //   - V2: a counter-based schedule. Each (seed, round, stream) triple
 //     keys an independent splitmix64 sequence addressed by index, so any
 //     shard can fill its slice of a loss row without observing — or

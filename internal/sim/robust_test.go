@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"adhocconsensus/internal/core"
 	"adhocconsensus/internal/engine"
 	"adhocconsensus/internal/model"
 )
@@ -29,7 +30,7 @@ func (p *panicProc) Deliver(r int, recv *model.RecvSet, cd model.CDAdvice, cm mo
 // runaway pipeline the TrialTimeout watchdog exists for.
 type spinProc struct{}
 
-func (spinProc) Message(r int, cm model.CMAdvice) *model.Message                   { return nil }
+func (spinProc) Message(r int, cm model.CMAdvice) *model.Message                          { return nil }
 func (spinProc) Deliver(r int, recv *model.RecvSet, cd model.CDAdvice, cm model.CMAdvice) {}
 
 // quarantineGrid is a healthy grid with one trial hosting a panicking
@@ -187,12 +188,23 @@ func (s *cancelAfterSink) Consume(r Result) error {
 // errors.Is and reports the delivered count.
 func TestSweepToCtxCancellation(t *testing.T) {
 	grid := quarantineGrid(-1)
-	for i := 0; i < 4; i++ { // enough trials that cancellation lands mid-sweep
+	for i := 0; i < 4; i++ {
 		grid = append(grid, grid...)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := &cancelAfterSink{k: 8, cancel: cancel}
+	// Trials from k on hold in their automaton factory until the sink has
+	// cancelled, so cancellation lands mid-sweep however fast trials run:
+	// MapCtx returns nil once every trial has completed.
+	const k = 8
+	gate := make(chan struct{})
+	for i := k; i < len(grid); i++ {
+		grid[i].BuildProc = func(i int, s *Scenario) model.Automaton {
+			<-gate
+			return core.NewAlg1(s.Values[i])
+		}
+	}
+	s := &cancelAfterSink{k: k, cancel: func() { cancel(); close(gate) }}
 	err := Runner{Workers: 4}.SweepToCtx(ctx, grid, s)
 	var ce *CanceledError
 	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {

@@ -124,9 +124,14 @@ func (r Runner) Map(n int, fn func(i int)) {
 
 // MapCtx is Map with cooperative cancellation: once ctx is done, workers
 // stop claiming new indices, calls already in flight run to completion (at
-// most one per worker), and MapCtx returns ctx's error. A nil return means
-// every one of the n calls completed. fn itself is never interrupted — the
+// most one per worker), and fn itself is never interrupted — the
 // parallel-for contract still holds for every index that ran.
+//
+// MapCtx returns nil if and only if every one of the n calls completed,
+// and ctx's error otherwise. The outcome is decided by work done, not by
+// whether ctx ended: a cancellation that arrives after the last index was
+// claimed returns nil, so a caller that needs cancellation to land
+// mid-run must keep later calls from finishing before it cancels.
 func (r Runner) MapCtx(ctx context.Context, n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
