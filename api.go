@@ -210,8 +210,13 @@ type Config struct {
 	// per-trial data out (JSONL, another machine, live dashboards) instead
 	// of keeping only the aggregate. Single runs via Run do not use it.
 	ResultSink ResultSink
-	// UseGoroutines runs the goroutine-per-process runtime instead of the
-	// deterministic in-loop engine. Both produce identical executions.
+	// UseGoroutines is kept so recorded configurations keep their
+	// identity: it appears as "goroutines":true in trial records and joins
+	// their fingerprint, so shards recorded with it still merge and
+	// resume. The run executes on the engine, exactly as without it.
+	//
+	// Deprecated: it selects nothing. Use DeliveryWorkers to run a round's
+	// per-process work on worker goroutines.
 	UseGoroutines bool
 	// DeliveryWorkers shards each round's delivery inner loop across up to
 	// this many goroutines — intra-run parallelism for large networks,

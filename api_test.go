@@ -67,15 +67,19 @@ func TestDomainDefaultsToMaxValue(t *testing.T) {
 	}
 }
 
+// TestGoroutineRuntimeMatchesEngine: UseGoroutines is an identity field
+// only, so a run with it set executes on the engine and returns the same
+// Report — rounds, decisions, agreement and the full recorded execution.
 func TestGoroutineRuntimeMatchesEngine(t *testing.T) {
 	base := Config{
 		Algorithm: AlgorithmBitByBit,
-		Values:    []Value{4, 9, 2},
+		Values:    []Value{4, 9, 2, 6},
 		Domain:    32,
 		Loss:      LossProbabilistic,
 		LossP:     0.3,
 		ECFRound:  8,
 		Stable:    8,
+		Crashes:   []Crash{{Process: 2, Round: 5, AfterSend: true}},
 		Seed:      5,
 	}
 	eng, err := base.Run()
@@ -84,13 +88,23 @@ func TestGoroutineRuntimeMatchesEngine(t *testing.T) {
 	}
 	gor := base
 	gor.UseGoroutines = true
-	rt, err := gor.Run()
+	got, err := gor.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Rounds != rt.Rounds || eng.Agreed != rt.Agreed {
-		t.Fatalf("engine (%d rounds, %d) != runtime (%d rounds, %d)",
-			eng.Rounds, eng.Agreed, rt.Rounds, rt.Agreed)
+	if got.Rounds != eng.Rounds || got.Decided != eng.Decided || got.Agreed != eng.Agreed ||
+		!reflect.DeepEqual(got.Decisions, eng.Decisions) {
+		t.Fatalf("UseGoroutines report %+v differs from the engine's %+v", got, eng)
+	}
+	var gb, eb strings.Builder
+	if err := got.Execution.WriteJSON(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Execution.WriteJSON(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if gb.String() != eb.String() {
+		t.Fatal("UseGoroutines execution differs from the engine's")
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"adhocconsensus/internal/cm"
+	"adhocconsensus/internal/core"
 	"adhocconsensus/internal/detector"
 	"adhocconsensus/internal/loss"
 	"adhocconsensus/internal/model"
+	"adhocconsensus/internal/valueset"
 )
 
 // beacon broadcasts est(value) every round it is active and records what it
@@ -762,53 +764,121 @@ func parallelConfig(n int, trace TraceMode, workers int) Config {
 	}
 }
 
+// alg2CrashConfig is the real-automaton input of the parallel-equivalence
+// suite: six core.Alg2 processes whose decisions depend on the loss
+// pattern, a wake-up contention manager, and crashes of both timings
+// around the stabilization round. v2 selects the counter-based loss
+// schedule, whose plan fill also shards across the pool.
+func alg2CrashConfig(trace TraceMode, workers int, v2 bool) Config {
+	d := valueset.MustDomain(64)
+	procs := make(map[model.ProcessID]model.Automaton, 6)
+	initial := make(map[model.ProcessID]model.Value, 6)
+	for p := 1; p <= 6; p++ {
+		v := model.Value(p * 11 % 64)
+		procs[model.ProcessID(p)] = core.NewAlg2(d, v)
+		initial[model.ProcessID(p)] = v
+	}
+	var base loss.Adversary = loss.NewProbabilistic(0.3, 23)
+	if v2 {
+		base = loss.NewProbabilisticV2(0.3, 23)
+	}
+	return Config{
+		Procs:    procs,
+		Initial:  initial,
+		Detector: detector.New(detector.ZeroOAC, detector.WithRace(7)),
+		CM:       cm.WakeUp{Stable: 7},
+		Loss:     loss.ECF{Base: base, From: 7},
+		Crashes: model.Schedule{
+			2: {Round: 3, Time: model.CrashBeforeSend},
+			4: {Round: 8, Time: model.CrashAfterSend},
+		},
+		MaxRounds:        300,
+		Trace:            trace,
+		DeliveryWorkers:  workers,
+		DeliveryMinProcs: 1, // force the parallel path for this small system
+	}
+}
+
+// equivalenceSystem is one input of the parallel-equivalence suite: a
+// builder of fresh, identically seeded systems (automata and adversaries
+// are stateful) and the worker counts to compare against workers=1.
+type equivalenceSystem struct {
+	name    string
+	build   func(trace TraceMode, workers int) Config
+	workers []int
+}
+
+// requireParallelMatchesSequential runs each system, as its own subtest,
+// sequentially and at every listed worker count: rounds, AllDecided and
+// decisions must agree, full traces must be indistinguishable to every
+// process and export byte-identically, and decisions-only runs must record
+// no views.
+func requireParallelMatchesSequential(t *testing.T, trace TraceMode, systems []equivalenceSystem) {
+	t.Helper()
+	for _, sys := range systems {
+		t.Run(sys.name, func(t *testing.T) { requireSystemMatchesSequential(t, trace, sys) })
+	}
+}
+
+func requireSystemMatchesSequential(t *testing.T, trace TraceMode, sys equivalenceSystem) {
+	t.Helper()
+	seq, err := Run(sys.build(trace, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range sys.workers {
+		par, err := Run(sys.build(trace, workers))
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", sys.name, workers, err)
+		}
+		if par.Rounds != seq.Rounds || par.AllDecided != seq.AllDecided {
+			t.Fatalf("%s workers=%d: rounds/AllDecided = %d/%v, sequential %d/%v",
+				sys.name, workers, par.Rounds, par.AllDecided, seq.Rounds, seq.AllDecided)
+		}
+		if len(par.Decisions) != len(seq.Decisions) {
+			t.Fatalf("%s workers=%d: %d decisions, sequential %d", sys.name, workers, len(par.Decisions), len(seq.Decisions))
+		}
+		for id, d := range seq.Decisions {
+			if par.Decisions[id] != d {
+				t.Fatalf("%s workers=%d: process %d decided %v, sequential %v", sys.name, workers, id, par.Decisions[id], d)
+			}
+		}
+		if trace != TraceFull {
+			if par.Execution.NumRounds() != 0 {
+				t.Fatalf("%s workers=%d: decisions-only run recorded %d rounds", sys.name, workers, par.Execution.NumRounds())
+			}
+			continue
+		}
+		for _, id := range seq.Execution.Procs {
+			if !seq.Execution.IndistinguishableTo(par.Execution, id, seq.Rounds) {
+				t.Fatalf("%s workers=%d: process %d distinguishes parallel from sequential trace", sys.name, workers, id)
+			}
+		}
+		var sb, pb strings.Builder
+		if err := seq.Execution.WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if err := par.Execution.WriteJSON(&pb); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != pb.String() {
+			t.Fatalf("%s workers=%d: parallel trace export differs from sequential", sys.name, workers)
+		}
+	}
+}
+
 // TestParallelDeliveryMatchesSequential requires the sharded delivery loop
 // to produce byte-identical results to the sequential path at every worker
-// count, in both trace modes, under crashes and message loss.
+// count, in both trace modes, under crashes and message loss — for the
+// synthetic beacon system and for real Alg2 automata.
 func TestParallelDeliveryMatchesSequential(t *testing.T) {
+	systems := []equivalenceSystem{
+		{"beacon", func(trace TraceMode, workers int) Config { return parallelConfig(9, trace, workers) }, []int{2, 3, 8, 32}},
+		{"alg2", func(trace TraceMode, workers int) Config { return alg2CrashConfig(trace, workers, false) }, []int{1, 3, 6}},
+	}
 	for _, trace := range []TraceMode{TraceFull, TraceDecisionsOnly} {
 		name := map[TraceMode]string{TraceFull: "full", TraceDecisionsOnly: "decisions"}[trace]
-		t.Run(name, func(t *testing.T) {
-			seq, err := Run(parallelConfig(9, trace, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 8, 32} {
-				par, err := Run(parallelConfig(9, trace, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par.Rounds != seq.Rounds || par.AllDecided != seq.AllDecided {
-					t.Fatalf("workers=%d: rounds/AllDecided = %d/%v, sequential %d/%v",
-						workers, par.Rounds, par.AllDecided, seq.Rounds, seq.AllDecided)
-				}
-				if len(par.Decisions) != len(seq.Decisions) {
-					t.Fatalf("workers=%d: %d decisions, sequential %d", workers, len(par.Decisions), len(seq.Decisions))
-				}
-				for id, d := range seq.Decisions {
-					if par.Decisions[id] != d {
-						t.Fatalf("workers=%d: process %d decided %v, sequential %v", workers, id, par.Decisions[id], d)
-					}
-				}
-				if trace == TraceFull {
-					for _, id := range seq.Execution.Procs {
-						if !seq.Execution.IndistinguishableTo(par.Execution, id, seq.Rounds) {
-							t.Fatalf("workers=%d: process %d distinguishes parallel from sequential trace", workers, id)
-						}
-					}
-					var sb, pb strings.Builder
-					if err := seq.Execution.WriteJSON(&sb); err != nil {
-						t.Fatal(err)
-					}
-					if err := par.Execution.WriteJSON(&pb); err != nil {
-						t.Fatal(err)
-					}
-					if sb.String() != pb.String() {
-						t.Fatalf("workers=%d: parallel trace export differs from sequential", workers)
-					}
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { requireParallelMatchesSequential(t, trace, systems) })
 	}
 }
 
@@ -826,47 +896,18 @@ func pinCalibration(t *testing.T, c Calibration) {
 // result must still be byte-identical to the v2 sequential path at every
 // worker count — decisions AND full traces, with crashes in the schedule.
 func TestScheduleV2ParallelMatchesSequential(t *testing.T) {
-	cfgAt := func(trace TraceMode, workers int) Config {
+	beacon := func(trace TraceMode, workers int) Config {
 		cfg := parallelConfig(9, trace, workers)
 		cfg.Loss = loss.ECF{Base: loss.NewProbabilisticV2(0.35, 41), From: 9}
 		return cfg
 	}
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	systems := []equivalenceSystem{
+		{"beacon", beacon, []int{1, 4, runtime.GOMAXPROCS(0)}},
+		{"alg2", func(trace TraceMode, workers int) Config { return alg2CrashConfig(trace, workers, true) }, []int{1, 3, 6}},
+	}
 	for _, trace := range []TraceMode{TraceFull, TraceDecisionsOnly} {
 		name := map[TraceMode]string{TraceFull: "full", TraceDecisionsOnly: "decisions"}[trace]
-		t.Run(name, func(t *testing.T) {
-			seq, err := Run(cfgAt(trace, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range workerCounts {
-				par, err := Run(cfgAt(trace, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par.Rounds != seq.Rounds || par.AllDecided != seq.AllDecided {
-					t.Fatalf("workers=%d: rounds/AllDecided = %d/%v, sequential %d/%v",
-						workers, par.Rounds, par.AllDecided, seq.Rounds, seq.AllDecided)
-				}
-				for id, d := range seq.Decisions {
-					if par.Decisions[id] != d {
-						t.Fatalf("workers=%d: process %d decided %v, sequential %v", workers, id, par.Decisions[id], d)
-					}
-				}
-				if trace == TraceFull {
-					var sb, pb strings.Builder
-					if err := seq.Execution.WriteJSON(&sb); err != nil {
-						t.Fatal(err)
-					}
-					if err := par.Execution.WriteJSON(&pb); err != nil {
-						t.Fatal(err)
-					}
-					if sb.String() != pb.String() {
-						t.Fatalf("workers=%d: v2 parallel trace export differs from v2 sequential", workers)
-					}
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { requireParallelMatchesSequential(t, trace, systems) })
 	}
 }
 
@@ -924,7 +965,7 @@ func TestResolveDeliveryWorkers(t *testing.T) {
 		{"auto resolves calibrated workers", Config{DeliveryWorkers: DeliveryWorkersAuto}, 256, honest, safeLoss, 4},
 		{"auto below calibrated threshold", Config{DeliveryWorkers: DeliveryWorkersAuto}, 63, honest, safeLoss, 1},
 	} {
-		if got := ResolveDeliveryWorkers(&tc.cfg, tc.n, tc.det, tc.adv); got != tc.want {
+		if got := resolveDeliveryWorkers(&tc.cfg, tc.n, tc.det, tc.adv); got != tc.want {
 			t.Errorf("%s: workers = %d, want %d", tc.name, got, tc.want)
 		}
 	}

@@ -20,7 +20,7 @@ func AppendEvent(dst []byte, e Event) []byte {
 	dst = append(dst, `,"t":`...)
 	dst = strconv.AppendInt(dst, e.TimeNs, 10)
 	dst = append(dst, `,"ev":`...)
-	dst = strconv.AppendQuote(dst, e.Type)
+	dst = AppendJSONString(dst, e.Type)
 	if e.Span != 0 {
 		dst = append(dst, `,"span":`...)
 		dst = strconv.AppendUint(dst, e.Span, 10)
@@ -35,7 +35,7 @@ func AppendEvent(dst []byte, e Event) []byte {
 	}
 	if e.Seg != "" {
 		dst = append(dst, `,"seg":`...)
-		dst = strconv.AppendQuote(dst, e.Seg)
+		dst = AppendJSONString(dst, e.Seg)
 	}
 	if e.Trial != NoTrial {
 		dst = append(dst, `,"trial":`...)
@@ -47,10 +47,32 @@ func AppendEvent(dst []byte, e Event) []byte {
 	}
 	if e.Cause != "" {
 		dst = append(dst, `,"cause":`...)
-		dst = strconv.AppendQuote(dst, e.Cause)
+		dst = AppendJSONString(dst, e.Cause)
 	}
 	dst = append(dst, '}', '\n')
 	return dst
+}
+
+// AppendJSONString appends s to dst as a JSON string: quote, backslash
+// and control bytes are escaped, everything else passes through verbatim
+// (valid UTF-8 needs no escaping in JSON). It is the string encoder of
+// both hand-rolled JSONL writers, journal lines and shard records;
+// strconv.AppendQuote would not do, as its \x escapes are not JSON.
+func AppendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			dst = append(dst, '\\', c)
+		case c < 0x20:
+			dst = append(dst, `\u00`...)
+			dst = append(dst, hex[c>>4], hex[c&0xf])
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
 }
 
 // ParseEvent decodes one JSONL line. Absent trial fields decode to

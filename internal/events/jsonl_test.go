@@ -125,3 +125,33 @@ func TestFormatStable(t *testing.T) {
 		t.Errorf("NoTrial rendered a trial field: %q", s)
 	}
 }
+
+// FuzzParseEvent feeds arbitrary lines to the journal parser: it must not
+// panic, and any event it accepts must re-encode to a line that parses
+// back to the same event.
+func FuzzParseEvent(f *testing.F) {
+	for _, e := range []Event{
+		{Seq: 1, TimeNs: 42, Type: "job.begin", Span: 3, Job: 7, Trial: NoTrial},
+		{Seq: 2, TimeNs: 43, Type: TypeQuarantine, Parent: 4, Job: 7, Seg: "T3", Trial: 0, Cause: CausePanic},
+		{Seq: 3, TimeNs: 44, Type: TypeSalvage, Trial: NoTrial, N: 128},
+		{Seq: 4, TimeNs: 45, Type: TypeFlush, Trial: NoTrial, N: -1, Cause: "x\"y"},
+	} {
+		f.Add(AppendEvent(nil, e))
+	}
+	f.Add([]byte(`{"seq":1}`))
+	f.Add([]byte(`{"ev":"x","trial":null,"cause":"\u0000 \ud800"}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		e, err := ParseEvent(line)
+		if err != nil {
+			return
+		}
+		enc := AppendEvent(nil, e)
+		back, err := ParseEvent(enc)
+		if err != nil {
+			t.Fatalf("re-encoded event %+v does not parse: %v\n%s", e, err, enc)
+		}
+		if back != e {
+			t.Fatalf("event %+v round-tripped to %+v\n%s", e, back, enc)
+		}
+	})
+}

@@ -227,10 +227,8 @@ func (s Schedule) CrashedForDeliver(id ProcessID, r int) bool {
 }
 
 // DenseSchedule is a crash schedule compiled against a sorted process
-// table: the simulation hot loops consult it by process index instead of
-// hashing ProcessIDs into the map-backed Schedule every round. Both
-// internal/engine and internal/runtime share this one implementation so
-// their crash semantics cannot drift apart.
+// table: the engine's round loop consults it by process index instead of
+// hashing ProcessIDs into the map-backed Schedule every round.
 type DenseSchedule struct {
 	rounds []int // 0 = never crashes
 	times  []CrashTime

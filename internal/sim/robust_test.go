@@ -284,7 +284,7 @@ func TestScenarioStopFlag(t *testing.T) {
 		t.Fatalf("stopped trial has no Err: %+v", res[0])
 	}
 
-	// The goroutine runtime honors the same flag.
+	// A UseGoroutines scenario honors the same flag.
 	s2 := quarantineGrid(-1)[0]
 	s2.UseGoroutines = true
 	s2.Stop = &stop

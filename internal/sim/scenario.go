@@ -11,7 +11,6 @@ import (
 	"adhocconsensus/internal/engine"
 	"adhocconsensus/internal/loss"
 	"adhocconsensus/internal/model"
-	"adhocconsensus/internal/runtime"
 	"adhocconsensus/internal/seedstream"
 	"adhocconsensus/internal/valueset"
 )
@@ -125,8 +124,12 @@ type Scenario struct {
 	// components are safely shardable by construction: Materialize builds
 	// every automaton fresh and shares nothing mutable between them.
 	DeliveryWorkers int
-	// UseGoroutines runs the goroutine-per-process runtime instead of the
-	// deterministic in-loop engine.
+	// UseGoroutines is a recorded identity field only: it joins the
+	// scenario's sink.Params (and so its fingerprint), and the run executes
+	// on the engine like any other scenario.
+	//
+	// Deprecated: it selects nothing. DeliveryWorkers runs a round's
+	// per-process work on worker goroutines.
 	UseGoroutines bool
 
 	// Stop, when non-nil, is polled by the round loop once per round: the
@@ -369,9 +372,6 @@ func Run(s Scenario) (*engine.Result, error) {
 	cfg, err := s.Materialize()
 	if err != nil {
 		return nil, err
-	}
-	if s.UseGoroutines {
-		return runtime.Run(*cfg)
 	}
 	return engine.Run(*cfg)
 }

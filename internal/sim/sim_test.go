@@ -445,9 +445,9 @@ func TestDeliveryWorkersDeterminism(t *testing.T) {
 }
 
 // TestSeedScheduleV2Determinism runs a v2-schedule scenario across worker
-// counts and both round-loop implementations: the counter-based schedule
+// counts, with and without UseGoroutines: the counter-based schedule
 // must be exactly as deterministic as v1 — same decisions, same rounds —
-// at any worker count, including the goroutine runtime.
+// at any worker count.
 func TestSeedScheduleV2Determinism(t *testing.T) {
 	scenario := func(workers int, goroutines bool) Scenario {
 		values := make([]model.Value, 64)
@@ -495,5 +495,45 @@ func TestSeedScheduleV2Determinism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGoroutineScenarioRequiresProcesses: UseGoroutines is an identity
+// field only, so a scenario that sets it is validated exactly like any
+// other — a system with no processes is rejected, not run.
+func TestGoroutineScenarioRequiresProcesses(t *testing.T) {
+	if _, err := Run(Scenario{Algorithm: AlgPropose, Domain: 8, UseGoroutines: true}); err == nil {
+		t.Fatal("UseGoroutines scenario with no processes accepted")
+	}
+}
+
+// TestGoroutineScenarioFullHorizon: a UseGoroutines scenario runs on the
+// engine with every other knob intact — RunFullHorizon keeps it going to
+// MaxRounds after all processes decide.
+func TestGoroutineScenarioFullHorizon(t *testing.T) {
+	res, err := Run(Scenario{
+		Algorithm:      AlgPropose,
+		Detector:       detector.MajOAC,
+		Race:           6,
+		Values:         []model.Value{7, 3, 5},
+		Domain:         8,
+		CM:             CMWakeUp,
+		Stable:         6,
+		Loss:           LossProbabilistic,
+		LossP:          0.3,
+		ECFRound:       6,
+		MaxRounds:      25,
+		RunFullHorizon: true,
+		Seed:           2,
+		UseGoroutines:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AllDecided {
+		t.Fatal("full-horizon scenario undecided")
+	}
+	if res.Rounds != 25 {
+		t.Fatalf("rounds = %d, want 25", res.Rounds)
 	}
 }

@@ -113,3 +113,34 @@ func TestCanceledCounter(t *testing.T) {
 		t.Fatalf("sim.trials.canceled advanced %d, want %d", got, len(grid))
 	}
 }
+
+// TestGoroutineSweepBooksEngineRuns: a UseGoroutines scenario runs on the
+// engine, so its trials book engine.runs and engine.rounds like any other —
+// the run report of such a job counts its engine runs.
+func TestGoroutineSweepBooksEngineRuns(t *testing.T) {
+	telemetry.Enable()
+	em := telemetry.Engine()
+	runsB, roundsB, seqB := em.Runs.Load(), em.Rounds.Load(), em.RoundsSequential.Load()
+
+	grid := quarantineGrid(-1)
+	for i := range grid {
+		grid[i].UseGoroutines = true
+	}
+	res, err := (Runner{Workers: 2}).Sweep(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := uint64(0)
+	for _, r := range res {
+		rounds += uint64(r.Rounds)
+	}
+	if got := em.Runs.Load() - runsB; got != uint64(len(grid)) {
+		t.Fatalf("engine.runs advanced %d, want %d", got, len(grid))
+	}
+	if got := em.Rounds.Load() - roundsB; got != rounds {
+		t.Fatalf("engine.rounds advanced %d, want %d", got, rounds)
+	}
+	if got := em.RoundsSequential.Load() - seqB; got != rounds {
+		t.Fatalf("engine.rounds.sequential advanced %d, want %d", got, rounds)
+	}
+}

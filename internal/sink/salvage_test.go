@@ -2,6 +2,7 @@ package sink
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -88,4 +89,47 @@ func TestReadRecordsPartialStopsAtFirstDefect(t *testing.T) {
 	if tail == nil || len(recs) != 1 || off != int64(len(lines[0])) {
 		t.Fatalf("read past the tear: %d records, offset %d, tail %v", len(recs), off, tail)
 	}
+}
+
+// FuzzReadRecordsPartial feeds arbitrary bytes to the salvage reader: it
+// must not panic, its offset must lie within the input, and the prefix it
+// vouches for must satisfy the strict reader with the same records.
+func FuzzReadRecordsPartial(f *testing.F) {
+	stream, lines := salvageFile()
+	f.Add(stream)
+	f.Add([]byte{})
+	full := goldenV1Params
+	full.Gor = true
+	f.Add(appendRecord(nil, Record{Schema: Schema, Exp: "T3", Fingerprint: full.Fingerprint(), Index: 4, Seed: -9,
+		Rounds: 12, AllDecided: true, Decisions: 4, DecidedValues: []uint64{3}, Params: full}))
+	f.Add(appendRecord(nil, Record{Schema: Schema, Index: 1, Err: "panic: boom\n\"x\"", Name: "q/\x01"}))
+	for _, tail := range [][]byte{
+		lines[2][:len(lines[2])/2],
+		trimLine(append([]byte(nil), lines[2]...)),
+		[]byte("\x00\x00\x00\n"),
+		[]byte("{not json}\n"),
+		[]byte("\r\n\n"),
+		appendRecord(nil, Record{Schema: Schema + 1, Index: 2}),
+	} {
+		f.Add(append(append([]byte(nil), lines[0]...), tail...))
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		recs, off, tail := ReadRecordsPartial(bytes.NewReader(input))
+		if off < 0 || off > int64(len(input)) {
+			t.Fatalf("offset %d outside the %d-byte input", off, len(input))
+		}
+		if tail == nil && off != int64(len(input)) {
+			t.Fatalf("clean read stopped at %d of %d bytes", off, len(input))
+		}
+		if tail != nil && tail.Offset != off {
+			t.Fatalf("torn tail at %d, salvage offset %d", tail.Offset, off)
+		}
+		strict, err := ReadRecords(bytes.NewReader(input[:off]))
+		if err != nil {
+			t.Fatalf("salvaged %d-byte prefix rejected by the strict reader: %v", off, err)
+		}
+		if !reflect.DeepEqual(strict, recs) {
+			t.Fatalf("strict reader decoded %d records from the prefix, salvage %d", len(strict), len(recs))
+		}
+	})
 }

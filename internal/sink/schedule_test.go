@@ -32,6 +32,21 @@ func TestV1FingerprintGolden(t *testing.T) {
 	if got := p.Fingerprint(); got != want {
 		t.Fatalf("explicit v1 fingerprint %s differs from implicit %s", got, want)
 	}
+	// UseGoroutines no longer selects a round loop but stays part of a
+	// recording's identity: shards written with it keep their fingerprint
+	// and their "goroutines" key, so they still merge and resume.
+	gor := ParamsOf(sim.Scenario{UseGoroutines: true})
+	if !gor.Gor {
+		t.Fatal("a UseGoroutines scenario records Gor=false")
+	}
+	p = goldenV1Params
+	p.Gor = true
+	if got := p.Fingerprint(); got != "954fde2189860638" {
+		t.Fatalf("goroutines fingerprint changed: %s, recorded shards carry 954fde2189860638", got)
+	}
+	if line := appendRecord(nil, Record{Schema: Schema, Params: p}); !strings.Contains(string(line), `"goroutines":true`) {
+		t.Fatalf("goroutines record JSON lost its key: %s", line)
+	}
 }
 
 // TestV2FingerprintDiffers requires the schedule version to separate
