@@ -22,8 +22,11 @@ type Value = model.Value
 // ProcessID identifies a process (1-based in reports).
 type ProcessID = model.ProcessID
 
-// Algorithm selects one of the paper's consensus algorithms.
-type Algorithm int
+// Algorithm selects one of the paper's consensus algorithms. It is the
+// simulator's own enumeration (an alias, like DetectorClass), so a Config
+// reaches the engine without translation; String prints its title and Name
+// its record name.
+type Algorithm = sim.Algorithm
 
 // The four algorithms of Section 7.
 const (
@@ -31,36 +34,20 @@ const (
 	// constant-time after stabilization; requires a majority-complete
 	// eventually-accurate detector (maj-◇AC) and eventual collision
 	// freedom.
-	AlgorithmPropose Algorithm = iota + 1
+	AlgorithmPropose = sim.AlgPropose
 	// AlgorithmBitByBit is Algorithm 2: one round per value bit; works
 	// with the weakest useful detector (0-◇AC) under eventual collision
 	// freedom; O(lg|V|) rounds after stabilization.
-	AlgorithmBitByBit
+	AlgorithmBitByBit = sim.AlgBitByBit
 	// AlgorithmTreeWalk is Algorithm 3: lockstep walk of a BST over the
 	// value domain; requires an always-accurate zero-complete detector
 	// (0-AC) but NO message delivery guarantee and no contention manager.
-	AlgorithmTreeWalk
+	AlgorithmTreeWalk = sim.AlgTreeWalk
 	// AlgorithmLeaderRelay is the §7.3 non-anonymous algorithm: elect a
 	// leader over the (small) identifier space by Algorithm 2, then relay
 	// the leader's value; O(min{lg|V|, lg|I|}) rounds.
-	AlgorithmLeaderRelay
+	AlgorithmLeaderRelay = sim.AlgLeaderRelay
 )
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmPropose:
-		return "propose-veto (Alg 1)"
-	case AlgorithmBitByBit:
-		return "bit-by-bit (Alg 2)"
-	case AlgorithmTreeWalk:
-		return "tree-walk (Alg 3)"
-	case AlgorithmLeaderRelay:
-		return "leader-relay (§7.3)"
-	default:
-		return fmt.Sprintf("algorithm(%d)", int(a))
-	}
-}
 
 // DetectorClass re-exports the collision detector classes of Figure 1.
 type DetectorClass = detector.Class
@@ -79,42 +66,44 @@ var (
 	DetectorZeroOAC = detector.ZeroOAC
 )
 
-// ContentionMode selects the contention manager.
-type ContentionMode int
+// ContentionMode selects the contention manager (an alias of the
+// simulator's enumeration).
+type ContentionMode = sim.CMMode
 
 // Contention manager choices.
 const (
 	// ContentionAuto picks what the algorithm expects: a wake-up service
 	// for Algorithms 1/2 and leader-relay, none for the tree walk.
-	ContentionAuto ContentionMode = iota
+	ContentionAuto = sim.CMAuto
 	// ContentionWakeUp stabilizes to one (rotating) active process at
 	// round Stable.
-	ContentionWakeUp
+	ContentionWakeUp = sim.CMWakeUp
 	// ContentionLeader stabilizes to one fixed active process at Stable.
-	ContentionLeader
+	ContentionLeader = sim.CMLeader
 	// ContentionBackoff runs the binary-exponential-backoff substrate; the
 	// stabilization round is then probabilistic.
-	ContentionBackoff
+	ContentionBackoff = sim.CMBackoff
 	// ContentionNone advises everyone active every round.
-	ContentionNone
+	ContentionNone = sim.CMNone
 )
 
-// LossMode selects the channel's loss behavior.
-type LossMode int
+// LossMode selects the channel's loss behavior (an alias of the
+// simulator's enumeration).
+type LossMode = sim.LossMode
 
 // Channel loss models.
 const (
 	// LossNone delivers everything.
-	LossNone LossMode = iota
+	LossNone = sim.LossNone
 	// LossProbabilistic drops each delivery independently with probability
 	// P (the 20–50% regimes of the empirical studies in §1.1).
-	LossProbabilistic
+	LossProbabilistic = sim.LossProbabilistic
 	// LossCapture models the capture effect: in a collision each receiver
 	// locks onto at most one transmission.
-	LossCapture
+	LossCapture = sim.LossCapture
 	// LossDrop loses every cross-process message forever (the no-ECF
 	// environment of Algorithm 3).
-	LossDrop
+	LossDrop = sim.LossDrop
 )
 
 // Seed-schedule versions: how a trial's seed expands into the per-round
@@ -285,54 +274,20 @@ func (c Config) Run() (*Report, error) {
 }
 
 // toScenario translates the public configuration into the internal
-// declarative scenario the sweep engine executes. The translation is
-// one-to-one: every default and seed offset matches the pre-sim builder,
-// so a Config reproduces its historical executions bit for bit.
+// declarative scenario the sweep engine executes, rejecting algorithms
+// outside the public four (the A1 ablation stays internal); sim.Materialize
+// rejects every other unknown mode. The translation is one-to-one: every
+// default and seed offset matches the pre-sim builder, so a Config
+// reproduces its historical executions bit for bit.
 func (c Config) toScenario() (sim.Scenario, error) {
-	var alg sim.Algorithm
-	switch c.Algorithm {
-	case AlgorithmPropose:
-		alg = sim.AlgPropose
-	case AlgorithmBitByBit:
-		alg = sim.AlgBitByBit
-	case AlgorithmTreeWalk:
-		alg = sim.AlgTreeWalk
-	case AlgorithmLeaderRelay:
-		alg = sim.AlgLeaderRelay
-	default:
+	if !c.Algorithm.Public() {
 		return sim.Scenario{}, fmt.Errorf("adhocconsensus: unknown algorithm %v", c.Algorithm)
 	}
+	return c.scenario(), nil
+}
 
-	var cmMode sim.CMMode
-	switch c.Contention {
-	case ContentionAuto:
-		cmMode = sim.CMAuto
-	case ContentionWakeUp:
-		cmMode = sim.CMWakeUp
-	case ContentionLeader:
-		cmMode = sim.CMLeader
-	case ContentionBackoff:
-		cmMode = sim.CMBackoff
-	case ContentionNone:
-		cmMode = sim.CMNone
-	default:
-		return sim.Scenario{}, fmt.Errorf("adhocconsensus: unknown contention mode %d", c.Contention)
-	}
-
-	var lossMode sim.LossMode
-	switch c.Loss {
-	case LossNone:
-		lossMode = sim.LossNone
-	case LossProbabilistic:
-		lossMode = sim.LossProbabilistic
-	case LossCapture:
-		lossMode = sim.LossCapture
-	case LossDrop:
-		lossMode = sim.LossDrop
-	default:
-		return sim.Scenario{}, fmt.Errorf("adhocconsensus: unknown loss mode %d", c.Loss)
-	}
-
+// scenario is toScenario without the public-algorithm check.
+func (c Config) scenario() sim.Scenario {
 	crashes := make(model.Schedule, len(c.Crashes))
 	for _, cr := range c.Crashes {
 		when := model.CrashBeforeSend
@@ -347,7 +302,7 @@ func (c Config) toScenario() (sim.Scenario, error) {
 		trace = engine.TraceDecisionsOnly
 	}
 	return sim.Scenario{
-		Algorithm:         alg,
+		Algorithm:         c.Algorithm,
 		Values:            c.Values,
 		Domain:            c.Domain,
 		IDs:               c.IDs,
@@ -355,9 +310,9 @@ func (c Config) toScenario() (sim.Scenario, error) {
 		Detector:          c.DetectorClass,
 		Race:              c.DetectorRace,
 		FalsePositiveRate: c.FalsePositiveRate,
-		CM:                cmMode,
+		CM:                c.Contention,
 		Stable:            c.Stable,
-		Loss:              lossMode,
+		Loss:              c.Loss,
 		LossP:             c.LossP,
 		ECFRound:          c.ECFRound,
 		Crashes:           crashes,
@@ -368,7 +323,19 @@ func (c Config) toScenario() (sim.Scenario, error) {
 		Seed:              c.Seed,
 		SeedSchedule:      c.SeedSchedule,
 		BuildProc:         c.buildProc,
-	}, nil
+	}
+}
+
+// RecordParams returns the parameters every trial record of a multi-trial
+// run of this configuration carries: the decisions-only scenario's
+// sink.Params plus the base Seed, which is part of a sweep's identity.
+// Their Fingerprint is TrialResult.Fingerprint, and Replay checks records
+// against it.
+func (c Config) RecordParams() sink.Params {
+	c.TraceDecisionsOnly = true // multi-trial runs never record views
+	p := sink.ParamsOf(c.scenario())
+	p.SweepSeed = c.Seed
+	return p
 }
 
 // apiErr rewrites internal sim errors into this package's public prefix,
@@ -567,9 +534,7 @@ func (c Config) StreamTrialsFrom(ctx context.Context, trials, workers, shard, sh
 	if _, err := base.Materialize(); err != nil {
 		return apiErr(err)
 	}
-	baseParams := sink.ParamsOf(base)
-	baseParams.SweepSeed = c.Seed // part of a sweep's identity, unlike trial seeds
-	fingerprint := baseParams.Fingerprint()
+	fingerprint := c.RecordParams().Fingerprint()
 	start := shard + skip*shards
 	var shardTrials []sim.Trial
 	if start < trials {
@@ -742,17 +707,11 @@ func (c Config) ReplayFlagged(results []TrialResult, sel ReplaySelector) ([]*Rep
 
 // replay is the shared audit body of Replay and ReplayFlagged.
 func (c Config) replay(r TrialResult, reasons []string) (*ReplayReport, error) {
-	// The recorded stream ran decisions-only (multi-trial runs never record
-	// views); fingerprints must be derived the same way StreamTrials derived
-	// them, or the provenance check would reject every record.
-	c.TraceDecisionsOnly = true
 	base, err := c.toScenario()
 	if err != nil {
 		return nil, err
 	}
-	baseParams := sink.ParamsOf(base)
-	baseParams.SweepSeed = c.Seed
-	if fp := baseParams.Fingerprint(); r.Fingerprint != "" && r.Fingerprint != fp {
+	if fp := c.RecordParams().Fingerprint(); r.Fingerprint != "" && r.Fingerprint != fp {
 		return nil, fmt.Errorf("adhocconsensus: trial %d carries fingerprint %s, this configuration derives %s — recorded under a different configuration or version",
 			r.Trial, r.Fingerprint, fp)
 	}

@@ -287,6 +287,33 @@ func TestRunTrialsAggregatesAndIsWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestUnknownModesRejected: values outside the public enumerations — the
+// internal A1 ablation included — fail with the same public messages from a
+// single run and from a multi-trial run.
+func TestUnknownModesRejected(t *testing.T) {
+	base := Config{Algorithm: AlgorithmBitByBit, Values: []Value{1, 2}}
+	cases := []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Algorithm = 0 }, "adhocconsensus: unknown algorithm algorithm(0)"},
+		{func(c *Config) { c.Algorithm = AlgorithmLeaderRelay + 1 }, "adhocconsensus: unknown algorithm algorithm(5)"},
+		{func(c *Config) { c.Algorithm = 99 }, "adhocconsensus: unknown algorithm algorithm(99)"},
+		{func(c *Config) { c.Contention = 9 }, "adhocconsensus: unknown contention mode 9"},
+		{func(c *Config) { c.Loss = 9 }, "adhocconsensus: unknown loss mode 9"},
+	}
+	for _, tc := range cases {
+		cfg := base
+		tc.mutate(&cfg)
+		if _, err := cfg.Run(); err == nil || err.Error() != tc.want {
+			t.Errorf("Run: err = %v, want %q", err, tc.want)
+		}
+		if _, err := cfg.RunTrials(2, 1); err == nil || err.Error() != tc.want {
+			t.Errorf("RunTrials: err = %v, want %q", err, tc.want)
+		}
+	}
+}
+
 func TestRunTrialsRejectsBadConfig(t *testing.T) {
 	if _, err := (Config{Algorithm: Algorithm(99), Values: []Value{1}}).RunTrials(3, 2); err == nil {
 		t.Fatal("bad config accepted")

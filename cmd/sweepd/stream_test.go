@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -469,6 +471,64 @@ func TestDaemonResultsAndFlagged(t *testing.T) {
 	}
 	if r := getJSON(t, baseURL+"/jobs/999/results", nil); r.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job results: %s", r.Status)
+	}
+}
+
+// TestDaemonResultsMatchSweeprunReplay: /results is byte for byte what
+// "sweeprun replay" prints for the same shard file — full and -quiet, for a
+// configuration sweep (seed provenance included) and for experiments.
+func TestDaemonResultsMatchSweeprunReplay(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH to build sweeprun")
+	}
+	dir := t.TempDir()
+	sweeprun := filepath.Join(dir, "sweeprun")
+	if out, err := exec.Command(gobin, "build", "-o", sweeprun, "adhocconsensus/cmd/sweeprun").CombinedOutput(); err != nil {
+		t.Fatalf("build sweeprun: %v\n%s", err, out)
+	}
+	baseURL, shutdown := startDaemon(t, dir)
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Fatalf("drain returned %v", err)
+		}
+	}()
+
+	for _, spec := range []jobs.Spec{
+		{Trials: 40, Config: []string{"-alg", "bitbybit", "-loss", "prob", "-p", "0.4", "-cst", "5", "-seed", "3"},
+			Out: filepath.Join(dir, "trials.jsonl")},
+		{Exps: []string{"T3", "T9"}, Out: filepath.Join(dir, "exps.jsonl")},
+	} {
+		_, body := postJSON(t, baseURL+"/jobs", spec)
+		var st jobs.Status
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, baseURL, st.ID, 30*time.Second)
+		for _, quiet := range []bool{false, true} {
+			url := fmt.Sprintf("%s/jobs/%d/results", baseURL, st.ID)
+			args := []string{"replay"}
+			if quiet {
+				url += "?quiet"
+				args = append(args, "-quiet")
+			}
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %s %v\n%s", url, resp.Status, err, got)
+			}
+			want, err := exec.Command(sweeprun, append(args, spec.Out)...).Output()
+			if err != nil {
+				t.Fatalf("sweeprun %v: %v", args, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s differs from sweeprun %v:\n--- daemon\n%s--- sweeprun\n%s", url, args, got, want)
+			}
+		}
 	}
 }
 

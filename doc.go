@@ -36,6 +36,14 @@
 // The matching lower bounds (Theorems 4–9) are executable in
 // internal/lowerbound and demonstrated by cmd/lowerbound.
 //
+// Algorithm, ContentionMode and LossMode are aliases of the simulator's
+// own enumerations (internal/sim), as DetectorClass is of the detector
+// package's: a Config reaches the engine untranslated. One name table per
+// enum in internal/sim holds the names trial records carry ("bitbybit",
+// "wakeup", "prob") and the flag spellings the tools accept;
+// Config.RecordParams derives a multi-trial run's record parameters, whose
+// fingerprint every TrialResult carries.
+//
 // # Performance
 //
 // The simulator's round loop is engineered for near-zero steady-state

@@ -1,9 +1,11 @@
 // Package cli holds the flag vocabulary and output formatting shared by the
-// command-line tools (cmd/consensus-sim, cmd/sweeprun): the mapping from
-// flag spellings to public Config values, the multi-trial summary printer,
-// and the per-trial seed-provenance report. Keeping one copy here is what
-// makes "sweeprun merge" output byte-comparable with "consensus-sim
-// -trials" output for the same configuration.
+// command-line tools (cmd/consensus-sim, cmd/sweeprun, cmd/sweepd): the
+// mapping from flag spellings to public Config values (through sim's name
+// tables), the multi-trial summary printer, the per-trial seed-provenance
+// report, and the renderer of recorded shards. Keeping one copy here is
+// what makes "sweeprun merge" output byte-comparable with "consensus-sim
+// -trials" output for the same configuration, and sweepd's results
+// endpoint byte-identical to "sweeprun replay".
 package cli
 
 import (
@@ -15,41 +17,30 @@ import (
 	"strings"
 
 	"adhocconsensus"
+	"adhocconsensus/internal/replay"
+	"adhocconsensus/internal/sim"
 	"adhocconsensus/internal/sink"
 )
 
 // ParseAlgorithm maps a flag spelling to the public Algorithm. The accepted
-// names match sink.Params.Algorithm, so merge tools can parse recorded
-// params with the same function.
+// names are sim's algorithm table, so merge tools parse recorded
+// sink.Params.Algorithm with the same function; the internal A1 ablation
+// is rejected.
 func ParseAlgorithm(name string) (adhocconsensus.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "propose", "alg1":
-		return adhocconsensus.AlgorithmPropose, nil
-	case "bitbybit", "alg2":
-		return adhocconsensus.AlgorithmBitByBit, nil
-	case "treewalk", "alg3":
-		return adhocconsensus.AlgorithmTreeWalk, nil
-	case "leaderrelay", "nonanon":
-		return adhocconsensus.AlgorithmLeaderRelay, nil
-	default:
+	a, ok := sim.ParseAlgorithm(name)
+	if !ok || !a.Public() {
 		return 0, fmt.Errorf("unknown algorithm %q", name)
 	}
+	return a, nil
 }
 
 // ParseLoss maps a flag spelling to the public LossMode.
 func ParseLoss(name string) (adhocconsensus.LossMode, error) {
-	switch strings.ToLower(name) {
-	case "none":
-		return adhocconsensus.LossNone, nil
-	case "prob", "probabilistic":
-		return adhocconsensus.LossProbabilistic, nil
-	case "capture":
-		return adhocconsensus.LossCapture, nil
-	case "drop":
-		return adhocconsensus.LossDrop, nil
-	default:
+	m, ok := sim.ParseLoss(name)
+	if !ok {
 		return 0, fmt.Errorf("unknown loss model %q", name)
 	}
+	return m, nil
 }
 
 // ParseValues parses the comma-separated initial-value list.
@@ -140,55 +131,10 @@ func (f *ConfigFlags) Config() (adhocconsensus.Config, error) {
 	return cfg, nil
 }
 
-// RecordParams renders the configuration as recorded trial parameters. The
-// fingerprint that guards merges comes from the library (TrialResult), not
-// from these; they make shard files self-describing.
-func RecordParams(c adhocconsensus.Config) sink.Params {
-	algs := map[adhocconsensus.Algorithm]string{
-		adhocconsensus.AlgorithmPropose:     "propose",
-		adhocconsensus.AlgorithmBitByBit:    "bitbybit",
-		adhocconsensus.AlgorithmTreeWalk:    "treewalk",
-		adhocconsensus.AlgorithmLeaderRelay: "leaderrelay",
-	}
-	cms := map[adhocconsensus.ContentionMode]string{
-		adhocconsensus.ContentionAuto:    "auto",
-		adhocconsensus.ContentionWakeUp:  "wakeup",
-		adhocconsensus.ContentionLeader:  "leader",
-		adhocconsensus.ContentionBackoff: "backoff",
-		adhocconsensus.ContentionNone:    "none",
-	}
-	losses := map[adhocconsensus.LossMode]string{
-		adhocconsensus.LossNone:          "none",
-		adhocconsensus.LossProbabilistic: "prob",
-		adhocconsensus.LossCapture:       "capture",
-		adhocconsensus.LossDrop:          "drop",
-	}
-	det := ""
-	if c.DetectorClass != (adhocconsensus.DetectorClass{}) {
-		det = c.DetectorClass.Name
-	}
-	p := sink.Params{
-		Algorithm: algs[c.Algorithm],
-		N:         len(c.Values),
-		Domain:    c.Domain,
-		IDSpace:   c.IDSpace,
-		Detector:  det,
-		Race:      c.DetectorRace,
-		FPRate:    c.FalsePositiveRate,
-		CM:        cms[c.Contention],
-		Stable:    c.Stable,
-		Loss:      losses[c.Loss],
-		LossP:     c.LossP,
-		ECFRound:  c.ECFRound,
-		MaxRounds: c.MaxRounds,
-		Trace:     "decisions", // multi-trial runs never record views
-		SweepSeed: c.Seed,
-	}
-	if c.SeedSchedule > 1 {
-		p.SeedSchedule = c.SeedSchedule
-	}
-	return p
-}
+// RecordParams renders the configuration as recorded trial parameters:
+// the library's own derivation, whose fingerprint every streamed
+// TrialResult carries.
+func RecordParams(c adhocconsensus.Config) sink.Params { return c.RecordParams() }
 
 // PrintTrialStats writes the multi-trial summary block in the format
 // consensus-sim -trials has always printed.
@@ -214,6 +160,91 @@ func PrintTrialStats(w io.Writer, alg adhocconsensus.Algorithm, processes int, s
 	if st.AgreementViolations > 0 {
 		fmt.Fprintf(w, "  AGREEMENT VIOLATED in %d trial(s)\n", st.AgreementViolations)
 	}
+}
+
+// TrialResultsOf reconstructs the public TrialResults of a merged
+// configuration-sweep group, verifying that one sweep ran under one seed
+// schedule and one fingerprint.
+func TrialResultsOf(recs []sink.Record) ([]adhocconsensus.TrialResult, error) {
+	results, err := sink.Merge(recs)
+	if err != nil {
+		return nil, err
+	}
+	// Shards recorded under v1 and v2 are different experiments and must
+	// not fold together.
+	if _, err := sink.UniformSeedSchedule(recs); err != nil {
+		return nil, err
+	}
+	fp := recs[0].Fingerprint
+	for _, rec := range recs {
+		if rec.Fingerprint != fp {
+			return nil, fmt.Errorf("trial %d fingerprint %s differs from %s — shards from different configurations",
+				rec.Index, rec.Fingerprint, fp)
+		}
+	}
+	trs := make([]adhocconsensus.TrialResult, len(results))
+	for i, r := range results {
+		trs[i] = adhocconsensus.TrialResult{
+			Trial:             r.Index,
+			Seed:              r.Seed,
+			Fingerprint:       fp,
+			Rounds:            r.Rounds,
+			Decided:           r.AllDecided,
+			Decisions:         r.Decisions,
+			DecidedValues:     r.DecidedValues,
+			LastDecisionRound: r.LastDecisionRound,
+			AgreementOK:       r.AgreementOK,
+			ValidityOK:        r.ValidityOK,
+			TerminationOK:     r.TerminationOK,
+		}
+	}
+	return trs, nil
+}
+
+// PrintGroup renders one experiment group of recorded shards without
+// re-simulating, exactly as "sweeprun replay" and sweepd's results endpoint
+// print it: the configuration sweep ("trials") as the statistics and seed
+// provenance consensus-sim -trials prints, any other group as its
+// experiment table. Under quiet each group collapses to one line. pass is
+// the table's own verdict (always true for a sweep).
+func PrintGroup(w io.Writer, name string, recs []sink.Record, quiet bool) (pass bool, err error) {
+	if name == "trials" {
+		return true, printTrialRecords(w, recs, quiet)
+	}
+	table, err := replay.RenderExperiment(name, recs)
+	if err != nil {
+		return false, err
+	}
+	if quiet {
+		verdict := "PASS"
+		if !table.Pass {
+			verdict = "FAIL"
+		}
+		fmt.Fprintf(w, "%s: %s\n", name, verdict)
+	} else {
+		fmt.Fprintln(w, table)
+	}
+	return table.Pass, nil
+}
+
+func printTrialRecords(w io.Writer, recs []sink.Record, quiet bool) error {
+	trs, err := TrialResultsOf(recs)
+	if err != nil {
+		return err
+	}
+	st := adhocconsensus.TrialStatsOf(trs)
+	if quiet {
+		fmt.Fprintf(w, "trials: %d merged, %d decided, %d violation(s)\n",
+			st.Trials, st.Decided, st.AgreementViolations)
+		return nil
+	}
+	alg, err := ParseAlgorithm(recs[0].Params.Algorithm)
+	if err != nil {
+		return fmt.Errorf("records carry no usable algorithm param: %w", err)
+	}
+	PrintTrialStats(w, alg, recs[0].Params.N, st)
+	PrintSeedProvenance(w, trs)
+	return nil
 }
 
 // maxFlagged bounds how many anomalous trials PrintSeedProvenance lists per

@@ -210,17 +210,12 @@ func TrialsSegment(cf *cli.ConfigFlags, trials, shard, shards, workers int, time
 		return Segment{}, err
 	}
 	cfg.TrialTimeout = timeout
-	params := cli.RecordParams(cfg)
+	params := cfg.RecordParams()
+	fp := params.Fingerprint()
 	length := 0
 	if trials > shard {
 		length = (trials - shard + shards - 1) / shards
 	}
-	// The sweep fingerprint is derived inside the library per trial; resume
-	// captures the salvaged records' fingerprint and the streaming sink
-	// checks the first fresh result against it before anything is appended,
-	// so a resume under different configuration flags aborts with the file
-	// untouched (the seed schedule and recorded params are checked up front).
-	var salvagedFP string
 	return Segment{
 		Name:     "trials",
 		Length:   length,
@@ -243,20 +238,15 @@ func TrialsSegment(cf *cli.ConfigFlags, trials, shard, shards, workers int, time
 				}
 			case rec.Params != params:
 				return fmt.Errorf("trial %d was recorded under different configuration parameters", want)
-			}
-			switch {
-			case salvagedFP == "":
-				salvagedFP = rec.Fingerprint
-			case rec.Fingerprint != salvagedFP:
-				return fmt.Errorf("trial %d fingerprint %s differs from the file's %s — mixed configurations", want, rec.Fingerprint, salvagedFP)
+			case rec.Fingerprint != fp:
+				return fmt.Errorf("trial %d fingerprint %s does not match this configuration's (%s)", want, rec.Fingerprint, fp)
 			}
 			return nil
 		},
 		Stream: func(ctx context.Context, skip int, w io.Writer) error {
 			j := sink.NewJSONL(w)
 			j.Exp = "trials"
-			s := &jsonlTrials{j: j, params: params, wantFP: salvagedFP}
-			err := cfg.StreamTrialsFrom(ctx, trials, workers, shard, shards, skip, s)
+			err := cfg.StreamTrialsFrom(ctx, trials, workers, shard, shards, skip, &jsonlTrials{j: j, params: params})
 			if ferr := j.Flush(); err == nil && ferr != nil {
 				err = cli.WithExit(cli.ExitSink, ferr)
 			}
@@ -271,20 +261,10 @@ func TrialsSegment(cf *cli.ConfigFlags, trials, shard, shards, workers int, time
 type jsonlTrials struct {
 	j      *sink.JSONL
 	params sink.Params
-	// wantFP, when set, is the fingerprint of the salvaged prefix being
-	// resumed: every fresh result must match it, or the configurations
-	// differ and appending would corrupt the shard. The mismatch aborts
-	// through the sink-error path before any byte is written.
-	wantFP string
 	vals   []uint64
 }
 
 func (s *jsonlTrials) Consume(r adhocconsensus.TrialResult) error {
-	if s.wantFP != "" && r.Fingerprint != s.wantFP {
-		return cli.WithExit(cli.ExitReject, fmt.Errorf(
-			"resumed sweep fingerprint %s does not match the file's %s — configuration flags differ from the recorded run",
-			r.Fingerprint, s.wantFP))
-	}
 	rec := sink.Record{
 		Fingerprint:       r.Fingerprint,
 		Index:             r.Trial,

@@ -105,10 +105,18 @@ func BuildSegments(spec Spec) ([]Segment, error) {
 		}
 		return []Segment{seg}, nil
 	}
+	return ExpSegments(spec.Exps, spec.Shard, spec.Shards, spec.Workers, spec.TrialTimeout)
+}
+
+// ExpSegments plans the named experiments' shards in request order, the
+// resolution "sweeprun run -exp" and job specs share: each name is a grid
+// or a work pipeline, and "all" expands to every grid, then every work
+// pipeline.
+func ExpSegments(names []string, shard, shards, workers int, timeout time.Duration) ([]Segment, error) {
 	var segs []Segment
 	add := func(name string) error {
 		if e, ok := experiments.GridExperimentByName(name); ok {
-			seg, err := GridSegment(e, spec.Shard, spec.Shards, spec.Workers, spec.TrialTimeout)
+			seg, err := GridSegment(e, shard, shards, workers, timeout)
 			if err != nil {
 				return err
 			}
@@ -116,7 +124,7 @@ func BuildSegments(spec Spec) ([]Segment, error) {
 			return nil
 		}
 		if e, ok := experiments.WorkExperimentByName(name); ok {
-			seg, err := WorkSegment(e, spec.Shard, spec.Shards, spec.Workers, spec.TrialTimeout)
+			seg, err := WorkSegment(e, shard, shards, workers, timeout)
 			if err != nil {
 				return err
 			}
@@ -125,22 +133,23 @@ func BuildSegments(spec Spec) ([]Segment, error) {
 		}
 		return fmt.Errorf("no experiment %q (grids: T1..T5, T8, A1, A2; work pipelines: T6, T7, T9, A3, M1)", name)
 	}
-	for _, name := range spec.Exps {
-		if name == "all" {
-			for _, e := range experiments.GridExperiments() {
-				if err := add(e.Name); err != nil {
-					return nil, err
-				}
-			}
-			for _, e := range experiments.WorkExperiments() {
-				if err := add(e.Name); err != nil {
-					return nil, err
-				}
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		if name != "all" {
+			if err := add(name); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		if err := add(strings.TrimSpace(name)); err != nil {
-			return nil, err
+		for _, e := range experiments.GridExperiments() {
+			if err := add(e.Name); err != nil {
+				return nil, err
+			}
+		}
+		for _, e := range experiments.WorkExperiments() {
+			if err := add(e.Name); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return segs, nil

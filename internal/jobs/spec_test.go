@@ -1,12 +1,16 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"adhocconsensus/internal/sink"
 )
 
 // TestSpecValidate pins the admission-time rejections.
@@ -68,6 +72,37 @@ func TestBuildSegmentsRejects(t *testing.T) {
 	}
 	if _, err := BuildSegments(Spec{Trials: 5, Config: []string{"-alg", "propose", "stray"}, Out: "x"}); err == nil {
 		t.Fatal("stray non-flag argument compiled")
+	}
+}
+
+// TestTrialsSegmentVerifiesFingerprint: a trials segment knows its
+// fingerprint before it streams — every streamed record verifies, and a
+// record whose fingerprint was altered is rejected by Verify itself.
+func TestTrialsSegmentVerifiesFingerprint(t *testing.T) {
+	segs, err := BuildSegments(Spec{Trials: 6, Config: []string{"-alg", "propose", "-seed", "11"}, Out: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := segs[0].Stream(context.Background(), 0, &buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := sink.ReadRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != segs[0].Length {
+		t.Fatalf("streamed %d records, planned %d", len(recs), segs[0].Length)
+	}
+	for pos, rec := range recs {
+		if err := segs[0].Verify(pos, rec); err != nil {
+			t.Fatalf("record %d: %v", pos, err)
+		}
+	}
+	rec := recs[2]
+	rec.Fingerprint = "0123456789abcdef"
+	if err := segs[0].Verify(2, rec); err == nil || !strings.Contains(err.Error(), "fingerprint 0123456789abcdef") {
+		t.Fatalf("altered fingerprint: Verify returned %v", err)
 	}
 }
 

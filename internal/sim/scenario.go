@@ -18,8 +18,9 @@ import (
 // Algorithm names a consensus automaton family.
 type Algorithm int
 
-// The algorithm families a Scenario can instantiate. AlgProposeNoVeto is
-// the A1 ablation variant; everything else matches the public API.
+// The algorithm families a Scenario can instantiate. The public API's
+// Algorithm aliases this type and exposes all but AlgProposeNoVeto, the A1
+// ablation variant (see Algorithm.Public). Names live in names.go.
 const (
 	AlgPropose Algorithm = iota + 1
 	AlgBitByBit
@@ -31,8 +32,9 @@ const (
 // CMMode selects the contention manager.
 type CMMode int
 
-// Contention manager choices. The zero value CMAuto resolves to what the
-// algorithm expects: a wake-up service for everything but the tree walk.
+// Contention manager choices (the public API's ContentionMode aliases this
+// type). The zero value CMAuto resolves to what the algorithm expects: a
+// wake-up service for everything but the tree walk.
 const (
 	CMAuto CMMode = iota
 	CMWakeUp
@@ -45,7 +47,7 @@ const (
 // set).
 type LossMode int
 
-// Channel loss models, matching the public API's enumeration.
+// Channel loss models (the public API's LossMode aliases this type).
 const (
 	LossNone LossMode = iota
 	LossProbabilistic
